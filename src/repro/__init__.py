@@ -22,112 +22,81 @@ See README.md for the architecture overview and EXPERIMENTS.md for the
 paper-versus-measured record.
 """
 
-from repro.core import (
-    backbone_reliability,
-    capacity_report,
-    continent_table,
-    design_comparison,
-    incident_distribution,
-    incident_growth,
-    incident_rates,
-    irt_vs_fleet_size,
-    population_breakdown,
-    remediation_table,
-    root_cause_breakdown,
-    root_causes_by_device,
-    severity_by_device,
-    severity_rates_over_time,
-    sevs_per_employee,
-    survivable_capacity,
-    switch_reliability,
-    switches_vs_employees,
-)
-from repro.backbone import BackboneMonitor, TicketDatabase, TrafficEngineer
-from repro.survivability import generate_trials, run_survivability_report
-from repro.config import DeploymentPipeline, ReviewPolicy
-from repro.drtest import DatacenterDrainDrill, FaultInjector, StormDrill
-from repro.fleet import paper_employees, paper_fleet
-from repro.incidents import RootCause, SEVReport, SEVStore, Severity
-from repro.priorwork import compare_root_causes
-from repro.remediation import RemediationEngine
-from repro.services import (
-    ImpactModel,
-    masking_report,
-    place_uniform,
-    reference_catalog,
-)
-from repro.simulation import (
-    BackboneSimulator,
-    IntraSimulator,
-    paper_backbone_scenario,
-    paper_scenario,
-)
-from repro.runtime import Executor, ResultCache, RunContext
-from repro.stream import StreamAggregates, StreamEngine
-from repro.topology import (
-    DeviceType,
-    NetworkDesign,
-    build_backbone,
-    build_cluster_network,
-    build_fabric_network,
-)
+import importlib
+import importlib.util
+
+#: Where each re-exported name lives.  The package imports none of
+#: them up front (PEP 562): ``import repro`` -- and so every
+#: ``python -m repro`` command -- pays only for the modules it uses.
+_EXPORTS = {
+    "repro.backbone": (
+        "BackboneMonitor", "TicketDatabase", "TrafficEngineer",
+    ),
+    "repro.config": ("DeploymentPipeline", "ReviewPolicy"),
+    "repro.core": (
+        "backbone_reliability",
+        "capacity_report",
+        "continent_table",
+        "design_comparison",
+        "incident_distribution",
+        "incident_growth",
+        "incident_rates",
+        "irt_vs_fleet_size",
+        "population_breakdown",
+        "remediation_table",
+        "root_cause_breakdown",
+        "root_causes_by_device",
+        "severity_by_device",
+        "severity_rates_over_time",
+        "sevs_per_employee",
+        "survivable_capacity",
+        "switch_reliability",
+        "switches_vs_employees",
+    ),
+    "repro.drtest": ("DatacenterDrainDrill", "FaultInjector", "StormDrill"),
+    "repro.fleet": ("paper_employees", "paper_fleet"),
+    "repro.incidents": ("RootCause", "SEVReport", "SEVStore", "Severity"),
+    "repro.priorwork": ("compare_root_causes",),
+    "repro.remediation": ("RemediationEngine",),
+    "repro.runtime": ("Executor", "ResultCache", "RunContext"),
+    "repro.services": (
+        "ImpactModel", "masking_report", "place_uniform",
+        "reference_catalog",
+    ),
+    "repro.simulation": (
+        "BackboneSimulator", "IntraSimulator", "paper_backbone_scenario",
+        "paper_scenario",
+    ),
+    "repro.stream": ("StreamAggregates", "StreamEngine"),
+    "repro.survivability": ("generate_trials", "run_survivability_report"),
+    "repro.topology": (
+        "DeviceType",
+        "NetworkDesign",
+        "build_backbone",
+        "build_cluster_network",
+        "build_fabric_network",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Resolve a re-export, or a subpackage, on first use."""
+    if name in _HOME:
+        value = getattr(importlib.import_module(_HOME[name]), name)
+    elif (not name.startswith("_")
+          and importlib.util.find_spec(f"{__name__}.{name}") is not None):
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BackboneMonitor",
-    "BackboneSimulator",
-    "DatacenterDrainDrill",
-    "DeploymentPipeline",
-    "DeviceType",
-    "Executor",
-    "FaultInjector",
-    "ImpactModel",
-    "IntraSimulator",
-    "NetworkDesign",
-    "RemediationEngine",
-    "ResultCache",
-    "ReviewPolicy",
-    "RootCause",
-    "RunContext",
-    "SEVReport",
-    "SEVStore",
-    "Severity",
-    "StormDrill",
-    "StreamAggregates",
-    "StreamEngine",
-    "TicketDatabase",
-    "TrafficEngineer",
-    "__version__",
-    "backbone_reliability",
-    "build_backbone",
-    "build_cluster_network",
-    "build_fabric_network",
-    "capacity_report",
-    "compare_root_causes",
-    "continent_table",
-    "design_comparison",
-    "generate_trials",
-    "incident_distribution",
-    "incident_growth",
-    "incident_rates",
-    "irt_vs_fleet_size",
-    "masking_report",
-    "paper_backbone_scenario",
-    "paper_employees",
-    "paper_fleet",
-    "paper_scenario",
-    "place_uniform",
-    "population_breakdown",
-    "reference_catalog",
-    "remediation_table",
-    "root_cause_breakdown",
-    "root_causes_by_device",
-    "run_survivability_report",
-    "severity_by_device",
-    "severity_rates_over_time",
-    "sevs_per_employee",
-    "survivable_capacity",
-    "switch_reliability",
-    "switches_vs_employees",
-]
+__all__ = sorted([*_HOME, "__version__"])

@@ -237,8 +237,16 @@ class SEVStore:
         self._conn.executemany(self._INSERT_CAUSE, self._cause_rows(report))
 
     def insert(self, report: SEVReport) -> None:
-        with self._conn:
-            self._insert_in_tx(report)
+        """Insert one report in its own transaction.
+
+        Transient ``OperationalError`` retries with the same bounded
+        backoff as the batch paths.
+        """
+        def attempt() -> None:
+            with self._conn:
+                self._insert_in_tx(report)
+
+        _write_with_retry(attempt)
 
     def insert_many(self, reports: Iterable[SEVReport],
                     default_region: str = "") -> int:

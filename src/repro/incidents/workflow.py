@@ -16,9 +16,8 @@ enforced here:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.incidents.sev import RootCause, Severity, SEVReport
 from repro.incidents.store import SEVStore
@@ -67,7 +66,7 @@ class SEVAuthoringWorkflow:
     def __init__(self, store: SEVStore, id_prefix: str = "sev") -> None:
         self._store = store
         self._prefix = id_prefix
-        self._counter = itertools.count(len(store))
+        self._next_id = len(store)
 
     def validate(self, draft: SEVDraft) -> List[str]:
         """Run the review checklist; returns problems (empty = passes)."""
@@ -105,17 +104,7 @@ class SEVAuthoringWorkflow:
         if self.validate(draft):
             draft.state = ReviewState.REJECTED
             return None
-        report = SEVReport(
-            sev_id=f"{self._prefix}-{next(self._counter):06d}",
-            severity=draft.severity,
-            device_name=draft.device_name,
-            opened_at_h=draft.opened_at_h,
-            resolved_at_h=draft.resolved_at_h,
-            root_causes=tuple(draft.root_causes),
-            description=draft.description,
-            service_impact=draft.service_impact,
-            reviewed=True,
-        )
+        report = self._report(draft)
         self._store.insert(report)
         draft.state = ReviewState.PUBLISHED
         return report
@@ -125,6 +114,59 @@ class SEVAuthoringWorkflow:
         self.submit(draft)
         report = self.review(draft)
         if report is None:
-            problems = "; ".join(self.validate(draft))
-            raise ValidationError(f"draft rejected: {problems}")
+            raise _rejected(self.validate(draft))
         return report
+
+    def publish_many(self, drafts: Iterable[SEVDraft]) -> int:
+        """Submit, review and publish a stream of drafts in one load.
+
+        Each draft passes the same checklist as
+        :meth:`author_and_publish` and becomes the same report, with
+        ids from the same counter, but the reports stream through one
+        :meth:`SEVStore.bulk_load` -- one transaction, not one per
+        report.  Drafts are pulled lazily, so a generator that draws
+        from an RNG interleaves with publishing exactly as a loop of
+        :meth:`author_and_publish` calls would.  Returns the count.
+
+        All or nothing: a rejected draft raises :class:`ValidationError`,
+        the load rolls back and the id counter rewinds, so the store
+        and the next id are as they were before the call.
+        """
+        first_id = self._next_id
+        try:
+            return self._store.bulk_load(
+                self._accept(draft) for draft in drafts
+            )
+        except BaseException:
+            self._next_id = first_id
+            raise
+
+    def _accept(self, draft: SEVDraft) -> SEVReport:
+        """Submit and review ``draft`` without storing it."""
+        self.submit(draft)
+        problems = self.validate(draft)
+        if problems:
+            draft.state = ReviewState.REJECTED
+            raise _rejected(problems)
+        draft.state = ReviewState.PUBLISHED
+        return self._report(draft)
+
+    def _report(self, draft: SEVDraft) -> SEVReport:
+        """The published form of an accepted draft; takes the next id."""
+        sev_id = f"{self._prefix}-{self._next_id:06d}"
+        self._next_id += 1
+        return SEVReport(
+            sev_id=sev_id,
+            severity=draft.severity,
+            device_name=draft.device_name,
+            opened_at_h=draft.opened_at_h,
+            resolved_at_h=draft.resolved_at_h,
+            root_causes=tuple(draft.root_causes),
+            description=draft.description,
+            service_impact=draft.service_impact,
+            reviewed=True,
+        )
+
+
+def _rejected(problems: List[str]) -> ValidationError:
+    return ValidationError(f"draft rejected: {'; '.join(problems)}")

@@ -26,7 +26,8 @@ recorded as a JSON :class:`~repro.perf.record.BenchRecord`:
     fold, SQL batch, columnar, sharded and columnar on the shared
     process pool) × both storage layouts; asserts all ten digests
     are bit-identical and reports the columnar speedup over the
-    serial fold plus parallel efficiency against ``cpu_count``.
+    serial fold plus the process pool's speedup over serial columnar
+    and its efficiency per usable core, ``min(jobs, cpu_count)``.
 ``backbone_report``
     the section 6 ticket-domain report answered by every runtime
     backend — batch (monitor path), streaming fold, sharded fold
@@ -61,7 +62,7 @@ from __future__ import annotations
 import tempfile
 import time
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.perf.record import BenchRecord, write_record
 from repro.perf.timers import events_per_second
@@ -397,6 +398,37 @@ def bench_partitioned_scan(
     )
 
 
+def fold_matrix_speedups(variants: List[dict], jobs: int,
+                         cores: int) -> Dict[str, float]:
+    """Speedups of the monolithic fold-matrix variants.
+
+    ``columnar`` and ``batch_sql`` are quoted against the per-row
+    serial fold.  The parallel figures compare ``columnar_processes``
+    with serial ``columnar``, the fastest serial path of the same
+    dialect, so a batching win is never counted as parallel speedup;
+    efficiency divides by the workers that can actually run at once,
+    ``min(jobs, cores)``.  A zero time gives a zero ratio.
+    """
+    def seconds(strategy: str) -> float:
+        for entry in variants:
+            if (entry["layout"] == "monolithic"
+                    and entry["strategy"] == strategy):
+                return entry["seconds"]
+        raise KeyError(("monolithic", strategy))
+
+    def ratio(baseline: str, variant: str) -> float:
+        variant_s = seconds(variant)
+        return seconds(baseline) / variant_s if variant_s > 0 else 0.0
+
+    parallel = ratio("columnar", "columnar_processes")
+    return {
+        "columnar_speedup_vs_serial": ratio("serial_fold", "columnar"),
+        "batch_sql_speedup_vs_serial": ratio("serial_fold", "batch_sql"),
+        "parallel_speedup_vs_serial": parallel,
+        "parallel_efficiency_vs_cores": parallel / max(1, min(jobs, cores)),
+    }
+
+
 def bench_fold_matrix(
     seed: int = 2,
     scale: float = FULL_SCALE,
@@ -425,8 +457,8 @@ def bench_fold_matrix(
     Every variant must produce the identical ``report_digest`` — the
     columnar engine's core acceptance criterion, measured rather than
     assumed.  The record carries throughput per variant, the columnar
-    speedup over the serial fold, and parallel efficiency against the
-    recorded ``cpu_count``.
+    speedup over the serial fold, and the parallel speedup and
+    efficiency of :func:`fold_matrix_speedups`.
     """
     from repro.faultline.oracle import report_digest
     from repro.runtime import (
@@ -492,19 +524,9 @@ def bench_fold_matrix(
         ]
     shutdown_executor_pool()
 
-    def seconds(layout: str, strategy: str) -> float:
-        for entry in variants:
-            if entry["layout"] == layout and entry["strategy"] == strategy:
-                return entry["seconds"]
-        raise KeyError((layout, strategy))
-
     import os
 
     cores = os.cpu_count() or 1
-    serial_s = seconds("monolithic", "serial_fold")
-    columnar_s = seconds("monolithic", "columnar")
-    parallel_s = seconds("monolithic", "columnar_processes")
-    parallel_speedup = serial_s / parallel_s if parallel_s > 0 else 0.0
     metrics = {
         "rows": rows,
         "jobs": jobs,
@@ -515,15 +537,7 @@ def bench_fold_matrix(
             {entry["report_digest"] for entry in variants}
         ) == 1,
         "per_variant": variants,
-        "columnar_speedup_vs_serial": (
-            serial_s / columnar_s if columnar_s > 0 else 0.0
-        ),
-        "batch_sql_speedup_vs_serial": (
-            serial_s / seconds("monolithic", "batch_sql")
-            if seconds("monolithic", "batch_sql") > 0 else 0.0
-        ),
-        "parallel_speedup_vs_serial": parallel_speedup,
-        "parallel_efficiency_vs_cores": parallel_speedup / cores,
+        **fold_matrix_speedups(variants, jobs, cores),
     }
     return BenchRecord(
         name="fold_matrix",
@@ -943,8 +957,8 @@ def render_fold_matrix_record(record: BenchRecord) -> str:
         rows,
         title=(f"Fold matrix (scale={record.params['scale']}, "
                f"columnar {metrics['columnar_speedup_vs_serial']:.1f}x, "
-               f"parallel {metrics['parallel_speedup_vs_serial']:.1f}x "
-               f"on {metrics['cores']} cores, "
+               f"processes {metrics['parallel_speedup_vs_serial']:.1f}x "
+               f"serial columnar on {metrics['cores']} cores, "
                f"identical={metrics['digests_identical']})"),
     )
 

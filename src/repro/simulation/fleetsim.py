@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.incidents.sev import RootCause, Severity
 from repro.incidents.store import SEVStore
@@ -188,6 +188,11 @@ class FleetSimulator:
 
     def _author_pending_sevs(self, horizon_h: float) -> None:
         """Every escalation ticket becomes a reviewed SEV."""
+        self.report.sevs += self._workflow.publish_many(
+            self._escalation_drafts(horizon_h)
+        )
+
+    def _escalation_drafts(self, horizon_h: float) -> Iterator[SEVDraft]:
         for ticket in self.engine.tickets:
             is_escalation = ("automated repair failed" in ticket.summary
                              or "uncovered device type" in ticket.summary)
@@ -203,7 +208,7 @@ class FleetSimulator:
                      if "settings" in ticket.summary
                      or "config" in ticket.summary
                      else RootCause.HARDWARE)
-            self._workflow.author_and_publish(SEVDraft(
+            yield SEVDraft(
                 severity=self._rng.choices(
                     [Severity.SEV3, Severity.SEV2, Severity.SEV1],
                     weights=[0.82, 0.13, 0.05],
@@ -214,8 +219,7 @@ class FleetSimulator:
                 root_causes=[cause],
                 description=ticket.summary or "escalated device issue",
                 service_impact=self._assess_impact(ticket.device_name),
-            ))
-            self.report.sevs += 1
+            )
 
     def _assess_impact(self, device_name: str) -> str:
         if self.impact_model is None:

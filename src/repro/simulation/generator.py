@@ -129,15 +129,17 @@ class IntraSimulator:
         # (e.g. a thread-shared one from repro.serve) has len() == 0
         # and must not be silently replaced.
         store = SEVStore() if store is None else store
-        workflow = SEVAuthoringWorkflow(store)
+        SEVAuthoringWorkflow(store).publish_many(self._drafts())
+        return store
+
+    def _drafts(self) -> Iterator[SEVDraft]:
         for year in self._scenario.years:
             for device_type in sorted(
                 self._scenario.incident_counts[year],
                 key=lambda t: t.value,
             ):
                 count = self._scenario.incident_counts[year][device_type]
-                self._emit_type_year(workflow, year, device_type, count)
-        return store
+                yield from self._drafts_type_year(year, device_type, count)
 
     def run_with_engine(
         self,
@@ -158,7 +160,12 @@ class IntraSimulator:
         # (e.g. a thread-shared one from repro.serve) has len() == 0
         # and must not be silently replaced.
         store = SEVStore() if store is None else store
-        workflow = SEVAuthoringWorkflow(store)
+        SEVAuthoringWorkflow(store).publish_many(
+            self._engine_drafts(engine)
+        )
+        return store
+
+    def _engine_drafts(self, engine: RemediationEngine) -> Iterator[SEVDraft]:
         issue_seq = 0
         for year in self._scenario.years:
             for device_type in sorted(
@@ -173,7 +180,7 @@ class IntraSimulator:
                     and device_type.supports_automated_repair
                 )
                 if not automated:
-                    self._emit_type_year(workflow, year, device_type, count)
+                    yield from self._drafts_type_year(year, device_type, count)
                     continue
                 raw = int(round(count / max(1.0 - success, 1e-6)))
                 times = deterministic_times(
@@ -192,10 +199,9 @@ class IntraSimulator:
                     issue_seq += 1
                     if not engine.handle(issue):
                         escalated_times.append(t)
-                self._emit_at_times(
-                    workflow, year, device_type, escalated_times
+                yield from self._drafts_at_times(
+                    year, device_type, escalated_times
                 )
-        return store
 
     # -- the April 2018 remediation month (Table 1) --------------------------
 
@@ -244,26 +250,18 @@ class IntraSimulator:
 
     # -- internals -----------------------------------------------------------
 
-    def _emit_type_year(
-        self,
-        workflow: SEVAuthoringWorkflow,
-        year: int,
-        device_type: DeviceType,
-        count: int,
-    ) -> None:
+    def _drafts_type_year(
+        self, year: int, device_type: DeviceType, count: int,
+    ) -> Iterator[SEVDraft]:
         times = deterministic_times(
             count, hours_of_year(year),
             hours_of_year(year) + HOURS_PER_YEAR, self._rng,
         )
-        self._emit_at_times(workflow, year, device_type, times)
+        yield from self._drafts_at_times(year, device_type, times)
 
-    def _emit_at_times(
-        self,
-        workflow: SEVAuthoringWorkflow,
-        year: int,
-        device_type: DeviceType,
-        times: List[float],
-    ) -> None:
+    def _drafts_at_times(
+        self, year: int, device_type: DeviceType, times: List[float],
+    ) -> Iterator[SEVDraft]:
         count = len(times)
         if count == 0:
             return
@@ -287,7 +285,7 @@ class IntraSimulator:
             # Cap pathological tail draws at a year: the paper notes
             # occasional months-long recoveries, not multi-year ones.
             duration = min(duration, HOURS_PER_YEAR)
-            draft = SEVDraft(
+            yield SEVDraft(
                 severity=severity,
                 device_name=self._device_name(device_type, year),
                 opened_at_h=t,
@@ -296,7 +294,6 @@ class IntraSimulator:
                 description=self._rng.choice(_DESCRIPTIONS[cause]),
                 service_impact=_IMPACTS[severity],
             )
-            workflow.author_and_publish(draft)
 
     def _device_name(self, device_type: DeviceType, year: int) -> str:
         return _random_device_name(
@@ -304,23 +301,36 @@ class IntraSimulator:
         )
 
 
+#: Name parts drawn by :func:`_random_device_name`.  ``rng.choice``
+#: over a table of n entries consumes exactly the draws of
+#: ``rng.randrange(n)`` (both make one ``_randbelow(n)`` call), so a
+#: table pick gives the same name, and leaves the RNG in the same
+#: state, as formatting a ``randrange`` draw, at a fraction of the cost.
+_PODS = tuple(f"pod{i}" for i in range(16))
+_CLUSTERS = tuple(f"cluster{i}" for i in range(16))
+_DCS = tuple(f"dc{i}" for i in range(1, 13))
+_REGIONS = tuple(f"region{c}" for c in "abcdefgh")
+_INDICES = tuple(f"{i:03d}" for i in range(1000))
+
+
 def _random_device_name(
     rng: random.Random, device_type: DeviceType, year: int, fabric_year: int
 ) -> str:
+    choice = rng.choice
     if device_type.is_fabric or (
         device_type is DeviceType.RSW
         and year >= fabric_year
         and rng.random() < 0.5
     ):
-        unit = f"pod{rng.randrange(16)}"
+        unit = choice(_PODS)
     elif device_type is DeviceType.CORE:
         unit = "plane"
     else:
-        unit = f"cluster{rng.randrange(16)}"
-    dc = f"dc{rng.randrange(1, 13)}"
-    region = f"region{rng.choice('abcdefgh')}"
-    index = rng.randrange(1000)
-    return f"{device_type.value}.{index:03d}.{unit}.{dc}.{region}"
+        unit = choice(_CLUSTERS)
+    dc = choice(_DCS)
+    region = choice(_REGIONS)
+    index = choice(_INDICES)
+    return f"{device_type.value}.{index}.{unit}.{dc}.{region}"
 
 
 # ---------------------------------------------------------------------------

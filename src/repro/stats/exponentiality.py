@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,13 @@ def test_exponentiality(samples: Sequence[float]) -> ExponentialityResult:
     Fitting the rate from the data makes the plain KS p-value
     optimistic (the Lilliefors effect), which is acceptable here: the
     paper's claim is "closely follow", not a sharp hypothesis test.
+
+    SciPy is imported here, not at module level: this is its only
+    caller, and loading it costs more than the rest of the package's
+    start-up together.
     """
+    from scipy import stats as sps
+
     arr = np.asarray(list(samples), dtype=float)
     if arr.size < 8:
         raise ValueError("exponentiality testing needs >= 8 samples")

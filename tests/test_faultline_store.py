@@ -104,3 +104,23 @@ class TestBulkLoad:
                 "PRAGMA synchronous"
             ).fetchone()
             assert sync != 0  # OFF would be 0
+
+
+class TestInsert:
+    def test_single_row_insert_rides_out_transient_faults(self, reports):
+        """``insert`` shares the bounded backoff of the batch paths."""
+        plan = transient_plan(2)
+        with hooks.injected(plan), SEVStore() as store:
+            store.insert(reports[0])
+            assert [r.sev_id for r in store.all_reports()] == [
+                reports[0].sev_id
+            ]
+        assert plan.fired("store.insert") == 2
+
+    def test_single_row_insert_gives_up_after_budget(self, reports):
+        plan = FaultPlan(5, [FaultSpec("store.insert", probability=1.0)])
+        with hooks.injected(plan), SEVStore() as store:
+            with pytest.raises(sqlite3.OperationalError):
+                store.insert(reports[0])
+            assert len(store) == 0
+        assert plan.draws("store.insert") == _RETRY_ATTEMPTS

@@ -123,3 +123,64 @@ class TestLifecycle:
                 for _ in range(10)
             }
             assert len(ids) == 10
+
+
+class TestPublishMany:
+    def test_same_reports_as_one_by_one(self):
+        drafts = [
+            dict(opened_at_h=float(i), resolved_at_h=float(i) + 2.5,
+                 severity=Severity(1 + i % 3))
+            for i in range(25)
+        ]
+        with SEVStore() as one, SEVStore() as many:
+            by_one = SEVAuthoringWorkflow(one)
+            for kw in drafts:
+                by_one.author_and_publish(draft(**kw))
+            count = SEVAuthoringWorkflow(many).publish_many(
+                draft(**kw) for kw in drafts
+            )
+            assert count == len(drafts)
+            assert list(many.all_reports()) == list(one.all_reports())
+
+    def test_published_drafts_change_state(self):
+        with SEVStore() as store:
+            drafts = [draft(), draft()]
+            SEVAuthoringWorkflow(store).publish_many(drafts)
+            assert all(d.state is ReviewState.PUBLISHED for d in drafts)
+
+    def test_ids_continue_from_store_length(self):
+        with SEVStore() as store:
+            first = SEVAuthoringWorkflow(store)
+            for _ in range(3):
+                first.author_and_publish(draft())
+            SEVAuthoringWorkflow(store).publish_many([draft(), draft()])
+            ids = sorted(r.sev_id for r in store.all_reports())
+            assert ids == [f"sev-{i:06d}" for i in range(5)]
+
+    def test_rejected_draft_leaves_store_untouched(self):
+        with SEVStore() as store:
+            workflow = SEVAuthoringWorkflow(store)
+            workflow.publish_many([draft(), draft()])
+            bad = draft(root_causes=[])
+            with pytest.raises(ValidationError, match="mandatory"):
+                workflow.publish_many([draft(), draft(), bad, draft()])
+            assert len(store) == 2
+            assert bad.state is ReviewState.REJECTED
+            # The id counter rewound with the rolled-back load.
+            assert workflow.author_and_publish(draft()).sev_id == "sev-000002"
+            # The rollback left the indexes in place.
+            assert store.index_names()
+            assert store.years()
+
+    def test_schema_hash_survives_the_bulk_load(self):
+        # bulk_load drops and rebuilds the indexes; the schema hash
+        # feeds the cache fingerprint, so it must come back unchanged.
+        with SEVStore() as store:
+            before = store.schema_hash()
+            SEVAuthoringWorkflow(store).publish_many([draft(), draft()])
+            assert store.schema_hash() == before
+            with pytest.raises(ValidationError):
+                SEVAuthoringWorkflow(store).publish_many(
+                    [draft(description="")]
+                )
+            assert store.schema_hash() == before

@@ -137,6 +137,62 @@ class TestBenchSuite:
         assert record.metrics["jobs"]["done"] == 1
 
 
+class TestFoldMatrixSpeedups:
+    @staticmethod
+    def variants(**seconds):
+        entries = [
+            {"layout": "monolithic", "strategy": strategy, "seconds": s}
+            for strategy, s in seconds.items()
+        ]
+        # A partitioned twin with other times must not be read.
+        entries += [
+            {"layout": "partitioned", "strategy": strategy, "seconds": 99.0}
+            for strategy in seconds
+        ]
+        return entries
+
+    def test_parallel_figures_use_serial_columnar(self):
+        from repro.perf.bench import fold_matrix_speedups
+
+        variants = self.variants(
+            serial_fold=3.0, batch_sql=0.5, columnar=1.2,
+            sharded_processes=2.0, columnar_processes=0.8,
+        )
+        m = fold_matrix_speedups(variants, jobs=4, cores=2)
+        assert m["columnar_speedup_vs_serial"] == pytest.approx(2.5)
+        assert m["batch_sql_speedup_vs_serial"] == pytest.approx(6.0)
+        # 1.2 / 0.8, not the serial fold's 3.0 / 0.8.
+        assert m["parallel_speedup_vs_serial"] == pytest.approx(1.5)
+        # Four jobs on two cores can use two: 1.5 / 2.
+        assert m["parallel_efficiency_vs_cores"] == pytest.approx(0.75)
+
+    def test_one_core_batching_win_is_not_parallel_speedup(self):
+        from repro.perf.bench import fold_matrix_speedups
+
+        # The process pool on one core only matches serial columnar;
+        # the old metric (serial fold / pool) would report 1.45.
+        variants = self.variants(
+            serial_fold=1.45, batch_sql=0.3, columnar=1.0,
+            sharded_processes=2.0, columnar_processes=1.0,
+        )
+        m = fold_matrix_speedups(variants, jobs=2, cores=1)
+        assert m["parallel_speedup_vs_serial"] == pytest.approx(1.0)
+        assert m["parallel_efficiency_vs_cores"] == pytest.approx(1.0)
+        assert fold_matrix_speedups(variants, jobs=1, cores=8)[
+            "parallel_efficiency_vs_cores"] == pytest.approx(1.0)
+
+    def test_zero_time_gives_zero_ratio(self):
+        from repro.perf.bench import fold_matrix_speedups
+
+        variants = self.variants(
+            serial_fold=1.0, batch_sql=0.0, columnar=1.0,
+            sharded_processes=1.0, columnar_processes=0.0,
+        )
+        m = fold_matrix_speedups(variants, jobs=2, cores=2)
+        assert m["batch_sql_speedup_vs_serial"] == 0.0
+        assert m["parallel_efficiency_vs_cores"] == 0.0
+
+
 class TestBenchCLI:
     def test_bench_quick_writes_records(self, tmp_path, capsys):
         from repro.cli import main

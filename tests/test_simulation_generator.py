@@ -129,3 +129,36 @@ class TestRemediationMonth:
         )
         assert result.engine.stats(DeviceType.CORE).issues == 100
         assert result.engine.stats(DeviceType.RSW).issues == 0
+
+
+class TestDeviceNames:
+    def test_table_draws_match_randrange_formatting(self):
+        # The name tables must consume the RNG exactly as formatting
+        # randrange draws does: same names, same RNG state after.
+        import random
+
+        from repro.simulation.generator import _random_device_name
+
+        def by_randrange(rng, device_type, year, fabric_year):
+            if device_type.is_fabric or (
+                device_type is DeviceType.RSW
+                and year >= fabric_year
+                and rng.random() < 0.5
+            ):
+                unit = f"pod{rng.randrange(16)}"
+            elif device_type is DeviceType.CORE:
+                unit = "plane"
+            else:
+                unit = f"cluster{rng.randrange(16)}"
+            dc = f"dc{rng.randrange(1, 13)}"
+            region = f"region{rng.choice('abcdefgh')}"
+            index = rng.randrange(1000)
+            return f"{device_type.value}.{index:03d}.{unit}.{dc}.{region}"
+
+        tables, reference = random.Random(11), random.Random(11)
+        for i in range(3000):
+            device_type = list(DeviceType)[i % len(DeviceType)]
+            year = 2011 + i % 7
+            assert (_random_device_name(tables, device_type, year, 2015)
+                    == by_randrange(reference, device_type, year, 2015))
+        assert tables.getstate() == reference.getstate()
