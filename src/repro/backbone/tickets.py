@@ -191,6 +191,15 @@ class TicketDatabase:
     def completed(self) -> List[RepairTicket]:
         return [t for t in self._tickets if not t.open]
 
+    def completed_count(self) -> int:
+        """``len(completed())`` without building the list.
+
+        Every open ticket sits in ``_tickets`` and in exactly one of
+        the two open-ticket indexes, so the count is O(1).
+        """
+        return (len(self._tickets) - len(self._open_by_link)
+                - len(self._open_by_ref))
+
     def open_tickets(self) -> List[RepairTicket]:
         return (list(self._open_by_link.values())
                 + list(self._open_by_ref.values()))

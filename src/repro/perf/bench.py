@@ -759,13 +759,15 @@ def bench_serve(
     HTTP GETs round-robin across the report, figure, table, and stats
     endpoints while one writer thread POSTs ``writer_jobs`` report
     jobs — the worst realistic mix: every read should be a cache hit
-    even while the job workers grind.  Reports requests/s and p50/p99
+    even while the job workers grind.  Each thread keeps one
+    persistent HTTP/1.1 connection, as a client pool does, and
+    reconnects after an error.  Reports requests/s and p50/p99
     latency overall and per endpoint; any non-200 response counts as
     an error (and the suite treats errors as a failed run).
     """
+    import http.client
     import json as json_mod
     import threading
-    import urllib.request
 
     from repro.serve import ServeApp
 
@@ -783,43 +785,61 @@ def bench_serve(
     record_lock = threading.Lock()
 
     with ServeApp(seed=seed, scale=scale, prewarm=True) as app:
-        base = app.url
+
+        def connect() -> http.client.HTTPConnection:
+            return http.client.HTTPConnection(app.host, app.port,
+                                              timeout=120)
 
         def read_worker(worker: int) -> None:
-            for i in range(requests_per_reader):
-                endpoint = endpoints[(worker + i) % len(endpoints)]
-                start = time.perf_counter()
-                try:
-                    with urllib.request.urlopen(base + endpoint) as resp:
+            conn = connect()
+            try:
+                for i in range(requests_per_reader):
+                    endpoint = endpoints[(worker + i) % len(endpoints)]
+                    start = time.perf_counter()
+                    try:
+                        conn.request("GET", endpoint)
+                        resp = conn.getresponse()
                         resp.read()
                         ok = resp.status == 200
                         problem = f"{endpoint}: HTTP {resp.status}"
-                except Exception as exc:  # noqa: BLE001 - recorded below
-                    ok = False
-                    problem = f"{endpoint}: {exc}"
-                ms = (time.perf_counter() - start) * 1e3
-                with record_lock:
-                    if ok:
-                        samples.append((endpoint, ms))
-                    else:
-                        errors.append(problem)
+                    except Exception as exc:  # noqa: BLE001 - recorded below
+                        ok = False
+                        problem = f"{endpoint}: {exc}"
+                        conn.close()
+                        conn = connect()
+                    ms = (time.perf_counter() - start) * 1e3
+                    with record_lock:
+                        if ok:
+                            samples.append((endpoint, ms))
+                        else:
+                            errors.append(problem)
+            finally:
+                conn.close()
 
         def write_worker() -> None:
             payload = json_mod.dumps({
                 "kind": "report",
                 "params": {"study": "intra", "seed": seed, "scale": 0.1},
             }).encode()
-            for _ in range(writer_jobs):
-                request = urllib.request.Request(
-                    base + "/jobs", data=payload,
-                    headers={"Content-Type": "application/json"},
-                )
-                try:
-                    with urllib.request.urlopen(request) as resp:
+            conn = connect()
+            try:
+                for _ in range(writer_jobs):
+                    try:
+                        conn.request(
+                            "POST", "/jobs", body=payload,
+                            headers={"Content-Type": "application/json"},
+                        )
+                        resp = conn.getresponse()
                         resp.read()
-                except Exception as exc:  # noqa: BLE001 - recorded below
-                    with record_lock:
-                        errors.append(f"POST /jobs: {exc}")
+                        if resp.status != 202:
+                            raise ValueError(f"HTTP {resp.status}")
+                    except Exception as exc:  # noqa: BLE001 - recorded below
+                        with record_lock:
+                            errors.append(f"POST /jobs: {exc}")
+                        conn.close()
+                        conn = connect()
+            finally:
+                conn.close()
 
         threads = [
             threading.Thread(target=read_worker, args=(worker,))

@@ -98,7 +98,7 @@ def ticket_fingerprint(tickets, seed: Optional[int] = None,
     from repro.backbone.tickets import TicketType
     from repro.io.ticket_io import TICKET_FIELDS
 
-    rows = len(tickets.completed())
+    rows = tickets.completed_count()
     schema = ";".join(TICKET_FIELDS) + "|" + ",".join(
         t.value for t in TicketType
     )
@@ -246,6 +246,16 @@ class ResultCache:
                 return
             tmp.write_bytes(payload)
             os.replace(tmp, file)
+
+    def count_hits(self, count: int) -> None:
+        """Count ``count`` hits answered above the cache.
+
+        A layer that memoizes what it built from cached results (the
+        render memo of :mod:`repro.serve.memo`) skips the lookups a
+        rebuild would make; counting them here keeps the hit counter
+        what those lookups would have made it.
+        """
+        self.hits += count
 
     def _disk_entries(self) -> list:
         """(mtime, name, size, path) per disk entry, oldest first.

@@ -13,8 +13,8 @@ Endpoints (all JSON):
 ====================  =================================================
 ``GET /``             endpoint index
 ``GET /healthz``      liveness: status, uptime, corpus sizes
-``GET /stats``        cache hit/miss counters, request counts, job and
-                      stream statistics
+``GET /stats``        cache and render-memo hit/miss counters, request
+                      counts, job and stream statistics
 ``GET /reports/intra``     the intra study (``?backend=`` optional)
 ``GET /reports/backbone``  the backbone study (``?backend=`` optional)
 ``GET /reports/survivability``  correlated-failure survivability curves
@@ -28,6 +28,12 @@ Endpoints (all JSON):
 Report payloads embed the canonical ``report_digest`` of the
 underlying report dataclass, bit-identical to what the CLI computes
 for the same corpus+seed (``python -m repro report ... --digest``).
+
+Report, figure and table answers are rendered once per corpus
+fingerprint (:mod:`repro.serve.memo`), so a warm read is a memo lookup
+plus one ``send``: every response — status line, headers and body —
+leaves in a single write, which keeps a kept-alive connection from
+stalling on Nagle's algorithm and the client's delayed ACK.
 """
 
 from __future__ import annotations
@@ -41,15 +47,15 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
-from repro.runtime import BACKENDS, ResultCache
+from repro.runtime import BACKENDS, ResultCache, RunContext
 from repro.serve.jobs import JobQueue
+from repro.serve.memo import RenderMemo, Rendered, encode_body
 from repro.serve.payloads import (
     FIGURES,
     backbone_report_payload,
     build_backbone_context,
     build_intra_context,
     build_survivability_context,
-    canonical_json,
     figure_ids,
     intra_report_payload,
     payload_digest,
@@ -59,6 +65,15 @@ from repro.serve.payloads import (
 __all__ = ["ApiError", "ServeApp", "ServeState"]
 
 PathLike = Union[str, Path]
+
+#: study -> (the ServeState context attribute it runs over, the
+#: payload builder that renders it).
+_STUDIES = {
+    "intra": ("intra_context", intra_report_payload),
+    "backbone": ("backbone_context", backbone_report_payload),
+    "survivability": ("survivability_context",
+                      survivability_report_payload),
+}
 
 
 class ApiError(Exception):
@@ -74,9 +89,9 @@ class ServeState:
     """The corpora, executor path, and counters behind the endpoints.
 
     One lock serializes every analysis run (the SQLite store is a
-    single shared connection); with the cache warm the critical
-    section is a fingerprint + cache lookup, so readers contend for
-    microseconds, not corpus passes.
+    single shared connection); with the answers rendered the critical
+    section is a corpus fingerprint + a render-memo lookup, so readers
+    contend for microseconds, not corpus passes.
     """
 
     def __init__(
@@ -99,6 +114,8 @@ class ServeState:
         self.backend = backend
         self.lock = threading.Lock()
         self.cache = ResultCache(cache_dir)
+        #: Rendered report/figure answers; process memory only.
+        self.memo = RenderMemo(self.cache)
         self.started_at = time.monotonic()
         self._requests: Dict[str, int] = {}
         self._request_lock = threading.Lock()
@@ -113,7 +130,6 @@ class ServeState:
             # manifest's recorded generator parameters supply the
             # fleet model and the cache-fingerprint seed, and the
             # partitioned scan feeds the stream tail like a replay.
-            from repro.runtime import RunContext
             from repro.simulation.scenarios import paper_scenario
             from repro.storage import PartitionedSEVStore
 
@@ -132,7 +148,6 @@ class ServeState:
             # store (and through the stream engine, so the live
             # aggregates cover the replayed history too).
             from repro.incidents.store import SEVStore
-            from repro.runtime import RunContext
             from repro.simulation.scenarios import paper_scenario
             from repro.stream.sources import replay_file
 
@@ -175,26 +190,26 @@ class ServeState:
         return backend
 
     def report_payload(self, study: str,
-                       backend: Optional[str] = None) -> dict:
+                       backend: Optional[str] = None) -> Rendered:
+        """One study's payload, rendered once per corpus fingerprint."""
         backend = self._check_backend(backend)
+        if study not in _STUDIES:
+            raise ApiError(404, f"unknown study {study!r}; expected one "
+                                f"of {', '.join(map(repr, _STUDIES))}")
         with self.lock:
-            if study == "intra":
-                return intra_report_payload(
-                    self.intra_context, backend=backend, cache=self.cache
-                )
-            if study == "backbone":
-                return backbone_report_payload(
-                    self.backbone_context, backend=backend, cache=self.cache
-                )
-            if study == "survivability":
-                return survivability_report_payload(
-                    self.survivability_context,
-                    backend=backend, cache=self.cache,
-                )
-        raise ApiError(404, f"unknown study {study!r}; expected "
-                            f"'intra', 'backbone', or 'survivability'")
+            return self._report(study, backend)
 
-    def figure_payload(self, fig_id: str) -> dict:
+    def _report(self, study: str, backend: str) -> Rendered:
+        """:meth:`report_payload` for a caller holding the lock."""
+        attribute, build = _STUDIES[study]
+        context = getattr(self, attribute)
+        return self.memo.render(
+            (study, backend), context,
+            lambda: build(context, backend=backend, cache=self.cache),
+        )
+
+    def figure_payload(self, fig_id: str) -> Rendered:
+        """One figure or table, rendered once per corpus fingerprint."""
         entry = FIGURES.get(fig_id)
         if entry is None:
             raise ApiError(
@@ -203,16 +218,22 @@ class ServeState:
                 f"known ids: {', '.join(figure_ids())}",
             )
         study, title, _ = entry
-        report = self.report_payload(study)
-        data = report["figures"][fig_id]
-        return {
-            "id": fig_id,
-            "study": study,
-            "title": title,
-            "data": data,
-            "digest": payload_digest(data),
-            "report_digest": report["report_digest"],
-        }
+
+        def build() -> dict:
+            report = self._report(study, self.backend)
+            data = report["figures"][fig_id]
+            return {
+                "id": fig_id,
+                "study": study,
+                "title": title,
+                "data": data,
+                "digest": payload_digest(data),
+                "report_digest": report["report_digest"],
+            }
+
+        context = getattr(self, _STUDIES[study][0])
+        with self.lock:
+            return self.memo.render(fig_id, context, build)
 
     def ingest(self, reports) -> int:
         """Fold new SEV events into the served corpus.
@@ -334,7 +355,12 @@ class ServeApp:
         query: Optional[Dict[str, List[str]]] = None,
         body: Optional[bytes] = None,
     ) -> Tuple[int, dict]:
-        """Route one request; returns ``(status, JSON payload)``."""
+        """Route one request; returns ``(status, JSON payload)``.
+
+        Report, figure and table payloads are memoized
+        :class:`~repro.serve.memo.Rendered` dicts shared by every
+        request that reads them: treat them as read-only.
+        """
         query = query or {}
         parts = [part for part in path.split("/") if part]
         route = "/" + "/".join(parts[:2])
@@ -414,8 +440,8 @@ class ServeApp:
             "backbone_seed": state.backbone_seed,
             "scale": state.scale,
             "sev_rows": len(state.intra_context.store),
-            "tickets": len(
-                state.backbone_context.resolve_tickets().completed()
+            "tickets": (
+                state.backbone_context.resolve_tickets().completed_count()
             ),
         }
 
@@ -424,6 +450,7 @@ class ServeApp:
         return {
             "uptime_s": round(time.monotonic() - state.started_at, 3),
             "cache": state.cache.stats(),
+            "rendered": state.memo.stats(),
             "requests": state.request_counts(),
             "jobs": self.queue.stats(),
             "warmer": self.warmer.stats(),
@@ -462,12 +489,26 @@ class _RequestHandler(BaseHTTPRequestHandler):
         pass
 
     def _respond(self, status: int, payload: dict) -> None:
-        body = canonical_json(payload).encode() + b"\n"
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        """Write the whole response — status, headers, body — at once.
+
+        Headers and body in two writes put the body in a second small
+        segment that Nagle's algorithm holds until the client's
+        delayed ACK of the first (~40 ms on every keep-alive read).
+        """
+        if isinstance(payload, Rendered):
+            body = payload.body
+        else:
+            body = encode_body(payload)
+        self.log_request(status, len(body))
+        head = (
+            f"{self.protocol_version} {status} "
+            f"{self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + body)
 
     def _handle(self, method: str) -> None:
         parsed = urlsplit(self.path)

@@ -600,9 +600,10 @@ class PartitionedTicketStore(_TieredStore):
 
     Tickets have no SQL query layer — every consumer folds them in
     memory — so the hot tier is plain JSONL in the interchange schema
-    and the cold tier its gzip twin.  ``completed()`` and
-    ``to_database()`` keep the :class:`TicketDatabase` surface working
-    for the corpus runtime and the backbone monitor.
+    and the cold tier its gzip twin.  ``completed()``,
+    ``completed_count()`` and ``to_database()`` keep the
+    :class:`TicketDatabase` surface working for the corpus runtime and
+    the backbone monitor.
     """
 
     domain = "ticket"
@@ -651,6 +652,10 @@ class PartitionedTicketStore(_TieredStore):
     def completed(self) -> List:
         """Every (completed) ticket, in global (start, id) order."""
         return list(self.records())
+
+    def completed_count(self) -> int:
+        """``len(completed())`` from the manifest, no partition read."""
+        return len(self)
 
     def to_database(self):
         """Materialize a :class:`TicketDatabase`, ticket ids preserved.

@@ -133,3 +133,55 @@ class TestDirectInsertionAndQueries:
         db = self.make_db()
         assert len(db) == 3
         assert len(list(db)) == 3
+
+
+class TestCompletedCount:
+    """``completed_count()`` is ``len(completed())`` without the list."""
+
+    def test_tracks_completed_through_every_transition(self):
+        db = TicketDatabase()
+        steps = [
+            lambda: db.ingest(start("fbl-1", t=1.0)),
+            lambda: db.ingest(start("fbl-2", t=2.0, ref="R-1")),
+            lambda: db.ingest(start("fbl-2", t=3.0, ref="R-2")),
+            lambda: db.ingest(complete("fbl-1", t=4.0)),
+            # rejected completions leave the ticket open
+            lambda: db.ingest(complete("fbl-2", t=0.5, ref="R-1")),
+            lambda: db.ingest(complete("fbl-3", t=5.0, ref="R-2")),
+            lambda: db.ingest(complete("fbl-9", t=5.0)),
+            lambda: db.ingest(complete("fbl-2", t=6.0, ref="R-1")),
+            lambda: db.add_completed("fbl-4", "v1", 7.0, 8.0),
+            lambda: db.add_ticket(RepairTicket(
+                "keep-1", "fbl-5", "v2", TicketType.REPAIR, 9.0, 10.0,
+            )),
+            lambda: db.ingest(start("fbl-1", t=11.0)),
+            lambda: db.ingest(complete("fbl-2", t=12.0, ref="R-2")),
+        ]
+        for step in steps:
+            try:
+                step()
+            except ValueError:
+                pass
+            assert db.completed_count() == len(db.completed())
+        assert db.completed_count() == 5
+        assert len(db.open_tickets()) == 1
+
+    def test_fingerprint_unchanged_on_the_simulated_corpus(self):
+        import hashlib
+
+        from repro.io.ticket_io import TICKET_FIELDS
+        from repro.runtime import ticket_fingerprint
+        from repro.simulation.backbone_sim import BackboneSimulator
+        from repro.simulation.scenarios import paper_backbone_scenario
+
+        db = BackboneSimulator(paper_backbone_scenario(seed=7)).run().tickets
+        schema = ";".join(TICKET_FIELDS) + "|" + ",".join(
+            t.value for t in TicketType
+        )
+        payload = (
+            f"domain=ticket;rows={len(db.completed())};seed=7;scenario=None"
+            f";schema={hashlib.sha256(schema.encode()).hexdigest()}"
+        )
+        assert db.completed_count() == len(db.completed())
+        assert (ticket_fingerprint(db, seed=7)
+                == hashlib.sha256(payload.encode()).hexdigest())

@@ -164,6 +164,14 @@ class TestPartitionedTicketStore:
         original = {t.ticket_id for t in corpus.tickets.completed()}
         assert stored == original
 
+    def test_completed_count_matches_completed(self, ticket_store, corpus):
+        assert ticket_store.completed_count() \
+            == len(ticket_store.completed()) \
+            == corpus.tickets.completed_count()
+        ticket_store.compact(keep_hot_years=1)
+        assert ticket_store.completed_count() \
+            == len(ticket_store.completed())
+
     def test_ticket_fingerprint_stable(self, ticket_store, corpus):
         assert ticket_fingerprint(ticket_store, 7) \
             == ticket_fingerprint(corpus.tickets, 7)
