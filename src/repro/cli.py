@@ -121,10 +121,11 @@ def _build_parser() -> argparse.ArgumentParser:
                              "unchanged corpus are reused, not recomputed")
     report.add_argument("--jobs", type=_parse_jobs, default=None,
                         metavar="N",
-                        help="shard count for --backend sharded (a count, "
-                             "or 'auto' to size from the host); with "
-                             "N > 1 the shards fold in parallel worker "
-                             "processes (results are bit-identical)")
+                        help="worker processes for the sharded/columnar "
+                             "fold (a count, or 'auto' to size from the "
+                             "host); with N > 1 column shards fold in "
+                             "parallel worker processes (results are "
+                             "bit-identical)")
     report.add_argument("--digest", action="store_true",
                         help="also print the canonical report_digest; "
                              "bit-identical to the digest the serve "
@@ -353,8 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "backends produce bit-identical digests)")
     g_run.add_argument("--jobs", type=_parse_jobs, default=None,
                        metavar="N",
-                       help="shard count for --backend sharded; with "
-                            "N > 1 shards fold in worker processes")
+                       help="worker processes for the sharded/columnar "
+                            "fold; with N > 1 column shards fold in "
+                            "worker processes")
     g_run.add_argument("--cache", metavar="DIR", default=None,
                        help="result cache directory: whole cells are "
                             "keyed on their spec digest, so repeated "

@@ -54,7 +54,8 @@ SITES = (
     "checkpoint.save",
     # SEVStore write batches: transient sqlite3.OperationalError.
     "store.insert",
-    # runtime.executor sharded backend: a shard worker crashes.
+    # runtime.executor process-parallel columnar backend (alias
+    # sharded): a column-shard worker crashes; drawn in the parent.
     "executor.shard",
     # runtime.executor columnar backend: a column-batch fold raises
     # mid-batch; the executor falls back to the per-row reference
@@ -95,7 +96,7 @@ class CheckpointKilled(InjectedFault):
 
 
 class ShardWorkerCrash(InjectedFault):
-    """Simulated crash of one shard worker in the sharded backend."""
+    """Simulated crash of one column-shard worker process."""
 
 
 class JobWorkerCrash(InjectedFault):

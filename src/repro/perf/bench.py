@@ -23,11 +23,12 @@ recorded as a JSON :class:`~repro.perf.record.BenchRecord`:
     partitioned-scan overhead.
 ``fold_matrix``
     the fold engine across every execution strategy (per-row serial
-    fold, SQL batch, columnar, sharded and columnar on the shared
-    process pool) × both storage layouts; asserts all ten digests
-    are bit-identical and reports the columnar speedup over the
-    serial fold plus the process pool's speedup over serial columnar
-    and its efficiency per usable core, ``min(jobs, cpu_count)``.
+    fold, SQL batch, columnar, and columnar on the shared process
+    pool — what the ``sharded`` backend runs) × both storage layouts;
+    asserts all eight digests are bit-identical and reports the
+    columnar speedup over the serial fold plus the process pool's
+    speedup over serial columnar and its efficiency per usable core,
+    ``min(jobs, cpu_count)``.
 ``backbone_report``
     the section 6 ticket-domain report answered by every runtime
     backend — batch (monitor path), streaming fold, sharded fold
@@ -404,9 +405,10 @@ def fold_matrix_speedups(variants: List[dict], jobs: int,
 
     ``columnar`` and ``batch_sql`` are quoted against the per-row
     serial fold.  The parallel figures compare ``columnar_processes``
-    with serial ``columnar``, the fastest serial path of the same
-    dialect, so a batching win is never counted as parallel speedup;
-    efficiency divides by the workers that can actually run at once,
+    — the one process-parallel fold, also run under the ``sharded``
+    name — with serial ``columnar``, the fastest serial path of the
+    same dialect, so a batching win is never counted as parallel
+    speedup; efficiency divides by the workers that can actually run at once,
     ``min(jobs, cores)``.  A zero time gives a zero ratio.
     """
     def seconds(strategy: str) -> float:
@@ -449,10 +451,10 @@ def bench_fold_matrix(
         per-analysis SQL (per-partition pushdown on the tiered store)
     ``columnar``
         array-at-a-time folds over ``ColumnBatch`` chunks
-    ``sharded_processes``
-        row shards folded on the shared worker pool
     ``columnar_processes``
         chunk-framed column batches shipped to the shared worker pool
+        — the transport the ``sharded`` backend name also runs, so it
+        has no variant of its own
 
     Every variant must produce the identical ``report_digest`` — the
     columnar engine's core acceptance criterion, measured rather than
@@ -478,8 +480,6 @@ def bench_fold_matrix(
         ("serial_fold", "stream", {}),
         ("batch_sql", "batch", {}),
         ("columnar", "columnar", {}),
-        ("sharded_processes", "sharded",
-         {"jobs": jobs, "use_processes": True}),
         ("columnar_processes", "columnar",
          {"jobs": jobs, "use_processes": True}),
     ]
@@ -977,8 +977,10 @@ def render_fold_matrix_record(record: BenchRecord) -> str:
         rows,
         title=(f"Fold matrix (scale={record.params['scale']}, "
                f"columnar {metrics['columnar_speedup_vs_serial']:.1f}x, "
-               f"processes {metrics['parallel_speedup_vs_serial']:.1f}x "
-               f"serial columnar on {metrics['cores']} cores, "
+               f"columnar_processes (sharded) "
+               f"{metrics['parallel_speedup_vs_serial']:.1f}x serial "
+               f"columnar, jobs={metrics['jobs']} on "
+               f"{metrics['cores']} cores, "
                f"identical={metrics['digests_identical']})"),
     )
 

@@ -4,14 +4,15 @@ Every paper artifact is declared once as an
 :class:`~repro.runtime.analysis.Analysis` (prepare / fold / merge /
 finalize, optionally a substrate-querying ``batch`` fast path) and the
 :class:`~repro.runtime.executor.Executor` runs any set of them over
-four interchangeable backends — ``batch`` (per-analysis shortcut, with
-per-partition SQL pushdown over tiered stores), ``stream`` (one fused
-corpus pass), ``sharded`` (fold partitions independently, merge
-states), ``columnar`` (array-at-a-time folds over
+three interchangeable backends — ``batch`` (per-analysis shortcut,
+with per-partition SQL pushdown over tiered stores), ``stream`` (one
+fused corpus pass), ``columnar`` (array-at-a-time folds over
 :class:`~repro.runtime.columns.ColumnBatch` chunks, per-row fallback
-for analyses that don't opt in).  The runtime is domain-generic: a
-:class:`~repro.runtime.domain.Corpus` abstracts the record source, and
-both of the paper's datasets ship as corpora —
+for analyses that don't opt in; with ``use_processes`` the batches
+fold as shards on a worker pool and the shard states merge).
+``sharded`` is accepted as another name for ``columnar``.  The runtime
+is domain-generic: a :class:`~repro.runtime.domain.Corpus` abstracts
+the record source, and both of the paper's datasets ship as corpora —
 :class:`~repro.runtime.domain.SEVCorpus` over the intra data center
 SEV store (sections 4-5) and :class:`~repro.runtime.domain.TicketCorpus`
 over the backbone repair-ticket database (section 6).  A

@@ -15,8 +15,9 @@ to scan the corpus for it:
 
 The executor (:mod:`repro.runtime.executor`) chooses the execution
 strategy: one fused streaming pass folds every registered analysis
-simultaneously, the sharded backend folds partitions independently and
-merges, and the batch backend may take an analysis' optional
+simultaneously, the columnar backend folds column batches (in worker
+processes, with ``use_processes``, as shards that merge), and the
+batch backend may take an analysis' optional
 :meth:`Analysis.batch` shortcut — the original substrate-querying
 implementation in :mod:`repro.core` — which must return exactly what
 fold+finalize would.

@@ -26,8 +26,9 @@ Three properties make the layout safe and cheap:
   which is the same math.
 * **Lean transport.**  Pickling a batch ships the column lists only
   (the memoized record list is dropped and rebuilt lazily), so the
-  sharded backend can frame a corpus into chunks and ship workers
-  columns instead of pickled dataclass streams.
+  process-parallel columnar backend (also named ``sharded``) can frame
+  a corpus into chunks and ship workers columns instead of pickled
+  dataclass streams.
 """
 
 from __future__ import annotations

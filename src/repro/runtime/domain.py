@@ -3,7 +3,7 @@
 The paper is two studies over two record kinds — seven years of
 intra data center SEV reports and eighteen months of inter data center
 fiber repair tickets — and the runtime executes both through one
-protocol.  A :class:`Corpus` answers the four questions an execution
+protocol.  A :class:`Corpus` answers the questions an execution
 backend asks of a record source:
 
 ``records()``
@@ -11,13 +11,12 @@ backend asks of a record source:
 ``fingerprint()``
     a content hash for the result cache, or ``None`` when the corpus
     cannot be fingerprinted (then nothing is cached);
-``shards(records, jobs)``
-    partition a record iterable into ``jobs`` fold shards — any
-    partitioning is correct under the merge law, so each domain picks
-    the one that balances its workers best;
 ``batch_handle()``
     the substrate an analysis' ``batch`` fast path queries (the SQL
-    store, the ticket database), or ``None``.
+    store, the ticket database), or ``None``;
+``column_batches()`` / ``column_shards(jobs)``
+    the corpus as column batches, whole or packed into ``jobs`` worker
+    shards — any partitioning is correct under the merge law.
 
 Two concrete domains ship: :class:`SEVCorpus` over
 :class:`~repro.incidents.store.SEVStore` and :class:`TicketCorpus`
@@ -67,12 +66,6 @@ class Corpus:
         """Content hash for the result cache; ``None`` = uncacheable."""
         return None
 
-    def shards(self, records: Iterable, jobs: int) -> List[list]:
-        """Partition ``records`` into at most ``jobs`` fold shards."""
-        from repro.stream.sharding import shard_cells
-
-        return shard_cells(list(records), jobs)
-
     def batch_handle(self) -> Any:
         """The substrate ``Analysis.batch`` queries, if any."""
         return None
@@ -96,18 +89,23 @@ class Corpus:
 
     def column_shards(self, jobs: int,
                       batch_size: Optional[int] = None) -> List[list]:
-        """Column batches packed into at most ``jobs`` worker shards.
+        """Column batches packed into ``min(jobs, rows)`` worker shards.
 
-        The sharded backend's columnar transport: each shard is a list
-        of batches (chunk-framed, cheap to pickle — columns only, no
-        dataclass streams), packed longest-processing-time-first by
-        row count.  Any partitioning of batches merges to the same
-        states under the merge law, so the batch framing need not
-        match the record sharding.
+        The process-parallel transport of the ``columnar`` (alias
+        ``sharded``) backend: each shard is a list of batches
+        (chunk-framed, cheap to pickle — columns only, no dataclass
+        streams), packed longest-processing-time-first by row count.
+        A corpus with fewer batches than that is re-framed into
+        batches of ``rows // jobs`` rows, so a small corpus still
+        reaches every worker.  Any partitioning of batches merges to
+        the same states under the merge law.
         """
         from repro.stream.sharding import shard_cells
 
         batches = list(self.column_batches(batch_size))
+        rows = sum(len(batch) for batch in batches)
+        if len(batches) < min(jobs, rows):
+            batches = list(self.column_batches(max(1, rows // jobs)))
         weights = [len(batch) for batch in batches]
         return shard_cells(batches, jobs, weights=weights)
 
@@ -127,32 +125,6 @@ class Corpus:
         return f"<{type(self).__name__} domain={self.domain!r}>"
 
 
-def _partition_shards(store, records: Iterable, jobs: int) -> List[list]:
-    """Shard a partitioned corpus on its manifest cells.
-
-    Partition = shard cell: records group on the store's
-    ``(year, region)`` partition key and the cells pack into ``jobs``
-    shards longest-processing-time-first, weighted by row count — the
-    same LPT balancing :mod:`repro.stream.sharding` applies to
-    generation cells.  Any partitioning merges to the same states
-    (the merge law); this one mirrors the physical layout, so a shard
-    never straddles more partition files than it must.
-    """
-    from repro.stream.sharding import shard_cells
-
-    cells: dict = {}
-    for record in records:
-        cells.setdefault(store.partition_key(record), []).append(record)
-    ordered = [cells[key] for key in sorted(cells)]
-    weights = [len(cell) for cell in ordered]
-    cell_shards = shard_cells(ordered, jobs, weights=weights)
-    return [
-        [record for cell in shard for record in cell]
-        for shard in cell_shards
-        if shard
-    ]
-
-
 class SEVCorpus(Corpus):
     """The intra data center SEV corpus (sections 4-5)."""
 
@@ -169,12 +141,6 @@ class SEVCorpus(Corpus):
     def fingerprint(self) -> Optional[str]:
         return corpus_fingerprint(self.store, seed=self.seed,
                                   scenario=self.scenario)
-
-    def shards(self, records: Iterable, jobs: int) -> List[list]:
-        """Partition-aware when the store is tiered, else round-robin."""
-        if getattr(self.store, "is_partitioned", False):
-            return _partition_shards(self.store, records, jobs)
-        return super().shards(records, jobs)
 
     def batch_handle(self) -> Optional[SEVStore]:
         """The SQL substrate — only the monolithic store has one.
@@ -249,34 +215,6 @@ class TicketCorpus(Corpus):
         return ticket_fingerprint(self.tickets, seed=self.seed,
                                   scenario=self.scenario)
 
-    def shards(self, records: Iterable, jobs: int) -> List[list]:
-        """Cost-weighted shards: one cell per link, LPT-balanced.
-
-        Tickets cluster on links (a flaky link files many), so the
-        shards are built from per-link cells weighted by ticket count
-        and packed longest-processing-time-first — the same balancing
-        :mod:`repro.stream.sharding` applies to SEV generation cells.
-        Any partitioning merges to the same states; this one just
-        keeps the workers busy evenly.  Over a partitioned store the
-        cells are the manifest's (year, location) partitions instead,
-        matching the physical shard layout.
-        """
-        from repro.stream.sharding import shard_cells
-
-        if getattr(self.tickets, "is_partitioned", False):
-            return _partition_shards(self.tickets, records, jobs)
-        cells: dict = {}
-        for ticket in records:
-            cells.setdefault(ticket.link_id, []).append(ticket)
-        ordered = [cells[link] for link in sorted(cells)]
-        weights = [len(cell) for cell in ordered]
-        cell_shards = shard_cells(ordered, jobs, weights=weights)
-        return [
-            [ticket for cell in shard for ticket in cell]
-            for shard in cell_shards
-            if shard
-        ]
-
     def batch_handle(self) -> TicketDatabase:
         return self.tickets
 
@@ -287,8 +225,8 @@ class TrialCorpus(Corpus):
     Wraps a :class:`~repro.survivability.trials.TrialSet` (duck-typed:
     anything with ``records()``, ``__len__`` and ``knobs`` serves).
     Trials are generated, never stored, so there is no batch substrate
-    — every backend folds; the default round-robin sharding balances
-    fine because every record folds at the same cost.
+    — every backend folds, the columnar one over batches framed from
+    the trial records.
     """
 
     domain = "trial"

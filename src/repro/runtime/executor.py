@@ -15,17 +15,7 @@ One executor, three strategies for answering the same set of
     one fused pass over the record stream: every analysis' state is
     folded record by record, so a full report costs exactly one corpus
     scan instead of one scan per artifact.
-``sharded``
-    the corpus is partitioned across ``jobs`` shards — each
-    :class:`~repro.runtime.domain.Corpus` picks its own partitioning
-    (round-robin for SEV records, per-link cost-weighted cells for
-    tickets); each shard folds its own states, and the shard states
-    merge — the merge-law execution that :mod:`repro.stream` uses for
-    parallel generation.  With ``use_processes=True`` each shard folds
-    in its own worker process and only the (small) mergeable states
-    travel back; because the merge law is associative and commutative,
-    the parallel result is bit-identical to the serial one.
-``columnar``
+``columnar`` (also accepted as ``sharded``)
     the corpus is scanned as :class:`~repro.runtime.columns.ColumnBatch`
     chunks and every opted-in analysis absorbs whole batches with
     array-at-a-time operations (``Analysis.fold_batch``); analyses
@@ -35,7 +25,12 @@ One executor, three strategies for answering the same set of
     results are bit-identical by construction.  With
     ``use_processes=True`` the batches are packed into ``jobs`` worker
     shards and shipped as chunk-framed columns (no pickled dataclass
-    streams).
+    streams); each shard folds its own states in a worker process and
+    the shard states merge — because the merge law is associative and
+    commutative, the parallel result is bit-identical to the serial
+    one.  ``sharded`` names this same columnar transport: the executor
+    keeps the name the caller gave, so cache keys and labels do not
+    change.
 
 Worker processes come from one module-level pool shared across
 executor runs (:func:`shutdown_executor_pool` closes it
@@ -47,7 +42,7 @@ Analyses of different domains can ride in one run: the executor groups
 them by :attr:`~repro.runtime.analysis.Analysis.domain` and resolves
 each group's :class:`~repro.runtime.domain.Corpus` from the context.
 
-All three backends agree exactly on every count-derived artifact; fold
+All backends agree exactly on every count-derived artifact; fold
 backends answer percentiles from quantile sketches, exact below the
 sketch budget and bounded by the bin width beyond it.
 
@@ -265,15 +260,9 @@ class Executor:
                     group, context, self._records(domain, corpus, source)
                 )
                 results.update(self._finalize(group, states, context))
-            elif self.backend == "columnar":
+            else:  # columnar, or its alias sharded
                 states = self._fold_columnar(group, context, corpus,
                                              source, domain)
-                results.update(self._finalize(group, states, context))
-            else:  # sharded
-                states = self._fold_sharded(
-                    group, context, corpus,
-                    self._records(domain, corpus, source),
-                )
                 results.update(self._finalize(group, states, context))
         return results
 
@@ -365,9 +354,9 @@ class Executor:
 
         Workers receive chunk-framed columns (a batch pickles its
         column lists only — no dataclass streams) and return folded
-        states plus their per-row fallback count.  Crash recovery
-        mirrors the sharded backend: resubmit once, then fold that
-        shard serially in the parent.
+        states plus their per-row fallback count.  Crash recovery is
+        :meth:`_parallel_map`'s: resubmit once, then fold that shard
+        serially in the parent.
         """
         analyses = list(analyses)
         worker_context = self._worker_context(context)
@@ -444,52 +433,6 @@ class Executor:
                     )
         return states
 
-    def _fold_sharded(self, analyses: Sequence[Analysis],
-                      context: RunContext, corpus,
-                      records: Iterable) -> Dict[str, Any]:
-        if corpus is not None:
-            shards = corpus.shards(records, self.jobs)
-        else:
-            from repro.stream.sharding import shard_cells
-
-            shards = shard_cells(list(records), self.jobs)
-        merged, owners = self._prepare(analyses, context)
-        if self.use_processes and len(shards) > 1:
-            shard_states_list = self._fold_shards_parallel(
-                analyses, context, shards
-            )
-        else:
-            shard_states_list = (
-                self._fold_shard_resilient(analyses, context, shard)
-                for shard in shards
-            )
-        for shard_states in shard_states_list:
-            for key, owner in owners.items():
-                merged[key] = owner.merge(merged[key], shard_states[key])
-        return merged
-
-    def _fold_shard_resilient(self, analyses: Sequence[Analysis],
-                              context: RunContext,
-                              shard: list) -> Dict[str, Any]:
-        """Fold one shard, surviving a crashed worker.
-
-        The recovery contract of the sharded backend: a crashed shard
-        fold is retried once, and a second crash drops that shard to a
-        plain serial fold with the ``executor.shard`` fault site
-        suppressed.  Because any partitioning merges to the same
-        states and every attempt starts from freshly prepared states,
-        the recovered result is bit-identical to a healthy run.
-        """
-        for _ in range(2):
-            try:
-                if hooks.fire("executor.shard"):
-                    raise ShardWorkerCrash("injected shard-worker crash")
-                return self._fold_pass(analyses, context, shard)
-            except ShardWorkerCrash:
-                continue
-        with hooks.suppressed("executor.shard"):
-            return self._fold_pass(analyses, context, shard)
-
     @staticmethod
     def _worker_context(context: RunContext) -> RunContext:
         """A picklable copy of the context for worker processes.
@@ -501,27 +444,6 @@ class Executor:
         return replace(
             context, store=None, engine=None, monitor=None, topology=None,
             tickets=None, trials=None,
-        )
-
-    def _fold_shards_parallel(self, analyses: Sequence[Analysis],
-                              context: RunContext,
-                              shards: List[list]) -> List[Dict[str, Any]]:
-        """Fold each record shard in its own worker process.
-
-        Workers receive the analyses, a picklable context, and their
-        shard of records; they return the folded states, which are
-        small compared to the records they summarize.
-        """
-        analyses = list(analyses)
-        worker_context = self._worker_context(context)
-
-        def serial(index: int) -> Dict[str, Any]:
-            return self._fold_pass(analyses, context, shards[index])
-
-        return self._parallel_map(
-            _fold_shard_worker,
-            [(analyses, worker_context, shard) for shard in shards],
-            serial,
         )
 
     def _parallel_map(self, worker, payloads: List,
@@ -577,17 +499,6 @@ class Executor:
             a.name: a.finalize(states[a.state_key or a.name], context)
             for a in analyses
         }
-
-
-def _fold_shard_worker(payload) -> Dict[str, Any]:
-    """Top-level worker body for the parallel sharded backend."""
-    analyses, context, shard = payload
-    states, owners = Executor._prepare(analyses, context)
-    folders = list(owners.items())
-    for report in shard:
-        for key, owner in folders:
-            owner.fold(report, states[key])
-    return states
 
 
 def _fold_batch_into(owners: Dict[str, Analysis], states: Dict[str, Any],
@@ -652,8 +563,9 @@ def run_intra_report(
 
     With the default ``stream`` backend the whole report costs exactly
     one corpus pass; with a cache, an unchanged corpus costs none.
-    ``use_processes=True`` makes the ``sharded`` backend fold its
-    shards in parallel worker processes (bit-identical results).
+    ``use_processes=True`` makes the ``columnar`` (alias ``sharded``)
+    backend fold its column shards in parallel worker processes
+    (bit-identical results).
     """
     executor = Executor(backend=backend, jobs=jobs, cache=cache,
                         use_processes=use_processes)

@@ -11,12 +11,13 @@ contributes one attribution per cause (none recorded counts as
 undetermined).
 
 ``merge`` is associative and commutative for every state here, which
-is the law the sharded backend (and :mod:`repro.stream.sharding`)
-relies on: any partitioning of a corpus, folded shard-locally and
-merged in any order, reaches the same state as a single sequential
-pass.  The streaming runtime's :class:`~repro.stream.aggregates.StreamAggregates`
-is a bundle of these states, so batch, streaming, and sharded
-execution all share one implementation of the math.
+is the law the columnar backend's worker shards (and
+:mod:`repro.stream.sharding`) rely on: any partitioning of a corpus,
+folded shard-locally and merged in any order, reaches the same state
+as a single sequential pass.  The streaming runtime's
+:class:`~repro.stream.aggregates.StreamAggregates` is a bundle of
+these states, so batch, streaming, and columnar execution all share
+one implementation of the math.
 
 Each state also speaks two faster dialects of the same math:
 

@@ -201,9 +201,9 @@ class GridRunner:
         """Execute one cell, surviving a crashed cell worker.
 
         The recovery contract of the ``grid.cell`` fault site mirrors
-        the sharded fold's: a crashed cell is retried once, and a
-        second crash re-runs the cell with the site suppressed.  Every
-        attempt starts from a fresh simulation, so the recovered
+        the executor's process pool: a crashed cell is retried once,
+        and a second crash re-runs the cell with the site suppressed.
+        Every attempt starts from a fresh simulation, so the recovered
         result — and therefore the grid summary digest — is
         bit-identical to a healthy run's.
         """

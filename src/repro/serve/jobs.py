@@ -15,11 +15,12 @@ deterministic in its parameters (benchmark timings excepted; their
 Fault sites (:mod:`repro.faultline`):
 
 ``serve.worker``
-    a job crashes mid-execution.  Recovery mirrors the sharded
-    executor's contract: the crashed job is retried once, and a second
-    *injected* crash runs a final attempt with the site suppressed —
-    so a fault plan can never wedge a job forever.  A real (non-
-    injected) second failure marks the job ``failed`` with its error.
+    a job crashes mid-execution.  Recovery mirrors the executor's
+    process-pool contract: the crashed job is retried once, and a
+    second *injected* crash runs a final attempt with the site
+    suppressed — so a fault plan can never wedge a job forever.  A
+    real (non-injected) second failure marks the job ``failed`` with
+    its error.
 ``serve.checkpoint``
     the ``jobs.json`` write tears mid-JSON.  Only the tmp file is
     damaged and nothing is published, so the previous checkpoint

@@ -99,7 +99,8 @@ def shard_cells(
 
     ``weights`` gives each cell's estimated cost; without it every
     cell weighs the same and the packing degenerates to round-robin
-    dealing (the executor shards already-generated records this way).
+    dealing.  The executor packs column batches into worker shards
+    with this function, weighted by row count.
     Cells of equal weight keep their input order, so the packing is
     deterministic.  Empty shards are dropped (more jobs than cells).
     """

@@ -460,8 +460,8 @@ def runtime_equivalence_checks(seed: int = 1,
     """Exercise the unified execution layer (:mod:`repro.runtime`).
 
     Three invariants, all exact at this scale: the streaming backend
-    (one fused fold pass) and the sharded backend (shard-local folds
-    merged) must reproduce the batch SQL report bit for bit, and a
+    (one fused fold pass) and the sharded backend (column batches
+    folded and merged) must reproduce the batch SQL report bit for bit, and a
     cached re-run must return the identical report without touching
     the corpus.
     """
@@ -503,7 +503,8 @@ def backbone_runtime_checks(backbone_seed: int = 7) -> List[Check]:
 
     The domain-generic runtime must answer the section 6 artifacts
     identically however it executes: the streaming fold, the sharded
-    merge (serial and process-parallel), and a cached re-run all have
+    columnar fold (serial and process-parallel), and a cached re-run
+    all have
     to reproduce the batch (monitor-path) backbone report bit for bit.
     """
     from repro.runtime import ResultCache, RunContext, run_backbone_report

@@ -1,4 +1,4 @@
-"""The differential oracle and the sharded backend's crash recovery.
+"""The differential oracle and the process-parallel fold's crash recovery.
 
 The acceptance property: under an active fault plan, every backend
 either reproduces the fault-free report bit-identically or dies with a
@@ -120,31 +120,6 @@ class TestAcceptanceProperty:
 
 
 class TestShardCrashRecovery:
-    def test_serial_retry_once(self, context, batch_report):
-        """One crash: the shard fold is retried and the report is
-        bit-identical to batch."""
-        plan = FaultPlan(1, [
-            FaultSpec("executor.shard", probability=1.0, max_fires=1)
-        ])
-        with hooks.injected(plan):
-            report = run_intra_report(context, backend="sharded", jobs=4)
-        assert plan.fired("executor.shard") == 1
-        assert report_digest(report) == report_digest(batch_report)
-
-    def test_serial_fallback_after_repeated_crashes(self, context,
-                                                    batch_report):
-        """Unbounded crashes: every shard falls back to a suppressed
-        serial fold; the answer is still bit-identical."""
-        plan = FaultPlan(1, [
-            FaultSpec("executor.shard", probability=1.0)
-        ])
-        with hooks.injected(plan):
-            report = run_intra_report(context, backend="sharded", jobs=4)
-        # Two draws per shard (crash, crashed retry), then the
-        # suppressed fallback folds without drawing.
-        assert plan.draws("executor.shard") == 8
-        assert report_digest(report) == report_digest(batch_report)
-
     def test_process_pool_resubmit(self, context, batch_report):
         """Parallel path: a crashed submission is resubmitted to the
         pool; the fault is drawn in the parent so the log is exact."""

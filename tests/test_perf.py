@@ -156,7 +156,7 @@ class TestFoldMatrixSpeedups:
 
         variants = self.variants(
             serial_fold=3.0, batch_sql=0.5, columnar=1.2,
-            sharded_processes=2.0, columnar_processes=0.8,
+            columnar_processes=0.8,
         )
         m = fold_matrix_speedups(variants, jobs=4, cores=2)
         assert m["columnar_speedup_vs_serial"] == pytest.approx(2.5)
@@ -173,7 +173,7 @@ class TestFoldMatrixSpeedups:
         # the old metric (serial fold / pool) would report 1.45.
         variants = self.variants(
             serial_fold=1.45, batch_sql=0.3, columnar=1.0,
-            sharded_processes=2.0, columnar_processes=1.0,
+            columnar_processes=1.0,
         )
         m = fold_matrix_speedups(variants, jobs=2, cores=1)
         assert m["parallel_speedup_vs_serial"] == pytest.approx(1.0)
@@ -186,7 +186,7 @@ class TestFoldMatrixSpeedups:
 
         variants = self.variants(
             serial_fold=1.0, batch_sql=0.0, columnar=1.0,
-            sharded_processes=1.0, columnar_processes=0.0,
+            columnar_processes=0.0,
         )
         m = fold_matrix_speedups(variants, jobs=2, cores=2)
         assert m["batch_sql_speedup_vs_serial"] == 0.0

@@ -18,7 +18,9 @@ from repro.faultline.oracle import report_digest
 from repro.runtime import RunContext, run_intra_report
 from repro.runtime import executor as executor_module
 from repro.runtime.analyses import intra_report_analyses
+from repro.incidents.store import SEVStore
 from repro.runtime.columns import sev_batches_from_store
+from repro.runtime.domain import SEVCorpus
 from repro.runtime.executor import Executor, shutdown_executor_pool
 from repro.simulation.generator import IntraSimulator
 from repro.simulation.scenarios import paper_scenario
@@ -183,3 +185,57 @@ class TestSharedProcessPool:
         assert executor_module._POOL is not None
         shutdown_executor_pool()
         assert executor_module._POOL is None
+
+
+@pytest.fixture(scope="module")
+def quarter_scale():
+    """The seed-1 scale-0.25 corpus: 559 SEVs, under one default batch."""
+    scenario = paper_scenario(seed=1, scale=0.25)
+    store = IntraSimulator(scenario).run()
+    context = RunContext(store=store, fleet=scenario.fleet,
+                         corpus_seed=scenario.seed)
+    return store, context
+
+
+class TestSmallCorpusColumnShards:
+    """A corpus smaller than ``jobs`` default batches still fans out."""
+
+    @pytest.mark.parametrize("backend", ["sharded", "columnar"])
+    def test_parallel_fold_runs_in_the_worker_pool(self, quarter_scale,
+                                                   backend):
+        _, context = quarter_scale
+        shutdown_executor_pool()
+        report = run_intra_report(
+            context, backend=backend, jobs=2, use_processes=True
+        )
+        assert executor_module._POOL is not None
+        assert report == run_intra_report(context, backend="batch")
+        shutdown_executor_pool()
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 7])
+    def test_one_non_empty_shard_per_job(self, quarter_scale, jobs):
+        store, _ = quarter_scale
+        shards = SEVCorpus(store).column_shards(jobs)
+        assert len(shards) == min(jobs, len(store))
+        sizes = [sum(len(batch) for batch in shard) for shard in shards]
+        assert all(sizes)
+        assert sum(sizes) == len(store)
+
+    def test_fewer_rows_than_jobs_gives_one_row_per_shard(self,
+                                                          quarter_scale):
+        store, _ = quarter_scale
+        tiny = SEVStore()
+        tiny.insert_many(list(store.all_reports())[:3])
+        shards = SEVCorpus(tiny).column_shards(8)
+        assert [sum(len(b) for b in shard) for shard in shards] == [1, 1, 1]
+
+    def test_enough_batches_keep_their_framing(self, quarter_scale):
+        store, _ = quarter_scale
+        shards = SEVCorpus(store).column_shards(2, batch_size=64)
+        sizes = sorted(len(batch) for shard in shards for batch in shard)
+        assert len(shards) == 2
+        assert sizes[-1] == 64
+        assert sum(sizes) == len(store)
+
+    def test_empty_corpus_has_no_shards(self):
+        assert SEVCorpus(SEVStore()).column_shards(4) == []
